@@ -1,11 +1,15 @@
-// Ablation: prefill tile size (TQ x TK) for the block-sparse kernel.
+// Ablation: prefill tile size (TQ x TK) for the served prefill kernels.
 //
 // The paper fixes TK to the page size; this ablation measures how tile
 // geometry trades mask granularity (finer tiles skip more of a streaming
-// mask) against per-tile overheads in the measured CPU kernel.
+// mask) against per-tile overheads in the measured CPU kernels. The Λ
+// latency is the streaming-head kernel (attn::chunked_prefill_streaming_head)
+// and the dense baseline the dense-head kernel (attn::chunked_prefill_head),
+// both over the whole prompt.
+#include <algorithm>
 #include <cstdio>
 
-#include "attn/block_sparse_prefill.hpp"
+#include "attn/chunked_prefill.hpp"
 #include "common.hpp"
 #include "numeric/rng.hpp"
 
@@ -19,6 +23,7 @@ int main() {
     for (std::size_t i = 0; i < t->size(); ++i) t->data()[i] = rng.gaussian();
   }
   const float scale = 0.125f;
+  const kv::PageAllocator pool(kv::PageConfig{}, 1);  // empty history.
 
   bench::section(
       "Ablation: tile size vs streaming-mask prefill latency (CPU, n=1024)");
@@ -34,12 +39,13 @@ int main() {
     dense.finalize();
     const attn::PrefillTiling tiling{tile, tile};
     const double sparse_us = bench::time_us([&] {
-      attn::block_sparse_prefill(q.view(), k.view(), v.view(), mask, tiling,
-                                 scale, out.view());
+      attn::chunked_prefill_streaming_head(
+          pool, {}, 0, n, q.view(), k.view(), v.view(),
+          {sink_blocks, local_blocks}, tiling, scale, out.view());
     });
     const double dense_us = bench::time_us([&] {
-      attn::block_sparse_prefill(q.view(), k.view(), v.view(), dense, tiling,
-                                 scale, out.view());
+      attn::chunked_prefill_head(pool, {}, 0, q.view(), k.view(), v.view(),
+                                 dense, tiling, scale, out.view());
     });
     bench::row(std::to_string(tile),
                {bench::fmt(mask.sparsity_vs_causal(n, tile, tile), 2),

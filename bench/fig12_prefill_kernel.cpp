@@ -3,13 +3,14 @@
 // Paper: at equal sparsity, LServe's iterator-based kernel is ~1.3x faster
 // than MInference's implementation, and both trail the oracle
 // (dense_latency * (1 - sparsity)). This bench MEASURES our CPU kernels:
-// the iterator kernel's trip count is exactly the live-tile count, while
-// the branchy (MInference-style) comparator walks every causal tile and
-// branches, so the gap between them is the cost of in-loop masking.
+// the LServe column and the dense baseline time the served dense-head
+// kernel (attn::chunked_prefill_head over the whole prompt), whose
+// iterator trip count is exactly the live-tile count; the branchy
+// (MInference-style) ablation walks every causal tile and branches, so the
+// gap between them is the cost of in-loop masking.
 #include <cstdio>
 
-#include "attn/block_sparse_prefill.hpp"
-#include "attn/dense_attention.hpp"
+#include "attn/chunked_prefill.hpp"
 #include "common.hpp"
 #include "numeric/rng.hpp"
 
@@ -44,12 +45,13 @@ int main() {
   }
   const float scale = 0.125f;
   const attn::PrefillTiling tiling{tile, tile};
+  const kv::PageAllocator pool(kv::PageConfig{}, 1);  // empty history.
 
   attn::BlockMask dense_mask = attn::BlockMask::causal(n, tile, tile);
   dense_mask.finalize();
   const double dense_us = bench::time_us([&] {
-    attn::block_sparse_prefill(q.view(), k.view(), v.view(), dense_mask,
-                               tiling, scale, out.view());
+    attn::chunked_prefill_head(pool, {}, 0, q.view(), k.view(), v.view(),
+                               dense_mask, tiling, scale, out.view());
   });
 
   bench::section(
@@ -63,8 +65,8 @@ int main() {
     const double real_sparsity = mask.sparsity_vs_causal(n, tile, tile);
     const double oracle = dense_us * (1.0 - real_sparsity);
     const double ours = bench::time_us([&] {
-      attn::block_sparse_prefill(q.view(), k.view(), v.view(), mask, tiling,
-                                 scale, out.view());
+      attn::chunked_prefill_head(pool, {}, 0, q.view(), k.view(), v.view(),
+                                 mask, tiling, scale, out.view());
     });
     const double branchy = bench::time_us([&] {
       attn::block_sparse_prefill_branchy(q.view(), k.view(), v.view(), mask,

@@ -1,12 +1,13 @@
-// google-benchmark microbenchmarks for the hot kernels: block-sparse
-// prefill (iterator vs branchy vs dense), paged sparse decode (full vs
-// pruned vs streaming tables), quantized load paths, and selector scoring.
+// google-benchmark microbenchmarks for the hot kernels: the served prefill
+// kernels over a whole prompt (dense-head causal, streaming-head Λ) next to
+// the branchy Λ ablation, paged sparse decode (full vs pruned vs streaming
+// tables), quantized load paths, and selector scoring.
 //
 // These complement the table-generating benches with statistically
 // rigorous per-kernel timings (use --benchmark_filter=... to narrow).
 #include <benchmark/benchmark.h>
 
-#include "attn/block_sparse_prefill.hpp"
+#include "attn/chunked_prefill.hpp"
 #include "attn/decode_attention.hpp"
 #include "eval/metrics.hpp"
 #include "model/workload.hpp"
@@ -21,6 +22,7 @@ using namespace lserve;
 
 struct PrefillFixture {
   num::Tensor q, k, v, out;
+  kv::PageAllocator pool{kv::PageConfig{}, 1};  // empty history.
   PrefillFixture(std::size_t n, std::size_t d)
       : q(n, d), k(n, d), v(n, d), out(n, d) {
     num::Rng rng(7);
@@ -38,8 +40,9 @@ void BM_PrefillDenseCausal(benchmark::State& state) {
   attn::BlockMask mask = attn::BlockMask::causal(n, 64, 64);
   mask.finalize();
   for (auto _ : state) {
-    attn::block_sparse_prefill(fix.q.view(), fix.k.view(), fix.v.view(),
-                               mask, {64, 64}, 0.125f, fix.out.view());
+    attn::chunked_prefill_head(fix.pool, {}, 0, fix.q.view(), fix.k.view(),
+                               fix.v.view(), mask, {64, 64}, 0.125f,
+                               fix.out.view());
     benchmark::DoNotOptimize(fix.out.data());
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
@@ -49,11 +52,10 @@ BENCHMARK(BM_PrefillDenseCausal)->Arg(256)->Arg(512)->Arg(1024)->Complexity();
 void BM_PrefillStreamingMask(benchmark::State& state) {
   const std::size_t n = state.range(0);
   PrefillFixture fix(n, 64);
-  attn::BlockMask mask = attn::BlockMask::streaming(n, 64, 64, 1, 2);
-  mask.finalize();
   for (auto _ : state) {
-    attn::block_sparse_prefill(fix.q.view(), fix.k.view(), fix.v.view(),
-                               mask, {64, 64}, 0.125f, fix.out.view());
+    attn::chunked_prefill_streaming_head(fix.pool, {}, 0, n, fix.q.view(),
+                                         fix.k.view(), fix.v.view(), {1, 2},
+                                         {64, 64}, 0.125f, fix.out.view());
     benchmark::DoNotOptimize(fix.out.data());
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));

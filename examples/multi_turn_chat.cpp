@@ -75,7 +75,7 @@ int main() {
   std::size_t iterations = 0;
   while (scheduler.step()) ++iterations;
 
-  const serve::EngineStats& es = engine.stats();
+  const serve::EngineStats es = engine.stats();
   std::printf(
       "\ncompleted %zu requests in %zu scheduler iterations\n"
       "prefix cache: %zu hits, %zu prompt tokens served from KV, "

@@ -1,24 +1,13 @@
-// Unified block-sparse prefill attention kernel (LServe §3.1, §3.4).
+// Block-sparse prefill tile geometry (LServe §3.1, §3.4).
 //
-// The kernel processes TQ x TK tiles; a tile is either fully computed or
+// Prefill processes TQ x TK tiles; a tile is either fully computed or
 // fully skipped according to a BlockMask. Per query row an OnlineSoftmax
 // accumulator folds each visited tile, so the loop structure is exactly the
 // GPU kernel's: parallel over query tiles (thread blocks), sequential over
-// key tiles. Two variants are provided:
-//
-//  * block_sparse_prefill        — iterator-based: visits only live tiles
-//                                  via precomputed per-row block lists.
-//  * block_sparse_prefill_branchy — MInference-style comparator: walks every
-//                                  causal tile and branches on the mask
-//                                  inside the loop (Fig 12's baseline).
-//
-// With the causal mask both reduce to dense FlashAttention-style prefill.
+// key tiles. The kernels live in attn/chunked_prefill.hpp.
 #pragma once
 
 #include <cstddef>
-
-#include "attn/block_iterator.hpp"
-#include "numeric/tensor.hpp"
 
 namespace lserve::attn {
 
@@ -27,20 +16,5 @@ struct PrefillTiling {
   std::size_t tile_q = 64;  ///< TQ (query rows per tile; >1 in prefill).
   std::size_t tile_k = 64;  ///< TK (key columns per tile; = page size).
 };
-
-/// Block-sparse causal prefill for one head.
-/// q, k, v: [n x d]; out: [n x d]; `mask` must be finalized and sized for
-/// (n, tiling). Within kept diagonal tiles, exact causal masking applies.
-void block_sparse_prefill(num::ConstMatView q, num::ConstMatView k,
-                          num::ConstMatView v, const BlockMask& mask,
-                          PrefillTiling tiling, float scale, num::MatView out);
-
-/// Same contract, but iterates all causal tiles with an in-loop mask branch
-/// instead of the compressed iterator. Used as the measured comparator for
-/// Fig 12 (kernel efficiency at equal sparsity).
-void block_sparse_prefill_branchy(num::ConstMatView q, num::ConstMatView k,
-                                  num::ConstMatView v, const BlockMask& mask,
-                                  PrefillTiling tiling, float scale,
-                                  num::MatView out);
 
 }  // namespace lserve::attn

@@ -7,6 +7,29 @@
 #include "numeric/math.hpp"
 
 namespace lserve::attn {
+namespace {
+
+/// Folds one TQ x TK tile into the per-row accumulators: rows
+/// [row0, row0+rows) attend to keys [col0, col0+cols) subject to the causal
+/// bound key <= row, in ascending key order. `acc[r]` belongs to row0 + r.
+void fold_causal_tile(num::ConstMatView q, num::ConstMatView k,
+                      num::ConstMatView v, float scale, std::size_t row0,
+                      std::size_t rows, std::size_t col0, std::size_t cols,
+                      std::vector<num::OnlineSoftmax>& acc) {
+  const std::size_t d = q.cols;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t row = row0 + r;
+    const float* qr = q.row(row);
+    num::OnlineSoftmax& a = acc[r];
+    // Causal frontier inside the tile.
+    const std::size_t hi = std::min(col0 + cols, row + 1);
+    for (std::size_t c = col0; c < hi; ++c) {
+      a.fold_one(scale * num::dot(qr, k.row(c), d), v.row(c));
+    }
+  }
+}
+
+}  // namespace
 
 void chunked_prefill_head(const kv::PageAllocator& alloc,
                           const kv::SelectedPageTable& history,
@@ -55,20 +78,49 @@ void chunked_prefill_head(const kv::PageAllocator& alloc,
       }
     }
 
-    // In-chunk phase: block-sparse causal over the chunk's own keys.
+    // In-chunk phase: block-sparse causal over the chunk's own keys; the
+    // iterator's trip count equals the number of live tiles.
     BlockIterator it(chunk_mask.row_blocks(qb));
     while (!it.done()) {
-      const std::size_t kb = it.next();
+      const std::size_t col0 = it.next() * tk;
+      fold_causal_tile(q, k, v, scale, row0, rows, col0,
+                       std::min(tk, k.rows - col0), acc);
+    }
+
+    for (std::size_t r = 0; r < rows; ++r) {
+      acc[r].finish(out.row(row0 + r));
+    }
+  }
+}
+
+void block_sparse_prefill_branchy(num::ConstMatView q, num::ConstMatView k,
+                                  num::ConstMatView v, const BlockMask& mask,
+                                  PrefillTiling tiling, float scale,
+                                  num::MatView out) {
+  assert(q.cols == k.cols && k.rows == v.rows && out.rows == q.rows);
+  const std::size_t n = q.rows;
+  const std::size_t tq = tiling.tile_q;
+  const std::size_t tk = tiling.tile_k;
+  const std::size_t q_blocks = (n + tq - 1) / tq;
+  assert(mask.q_blocks() == q_blocks);
+
+  std::vector<num::OnlineSoftmax> acc;
+  acc.reserve(tq);
+  for (std::size_t i = 0; i < tq; ++i) acc.emplace_back(q.cols);
+
+  for (std::size_t qb = 0; qb < q_blocks; ++qb) {
+    const std::size_t row0 = qb * tq;
+    const std::size_t rows = std::min(tq, n - row0);
+    for (std::size_t r = 0; r < rows; ++r) acc[r].reset();
+
+    // Sequential walk over every causal tile with an in-loop keep/skip
+    // branch.
+    const std::size_t diag = (row0 + rows - 1) / tk;
+    for (std::size_t kb = 0; kb <= diag; ++kb) {
+      if (!mask.kept(qb, kb)) continue;
       const std::size_t col0 = kb * tk;
-      const std::size_t cols = std::min(tk, k.rows - col0);
-      for (std::size_t r = 0; r < rows; ++r) {
-        const std::size_t row = row0 + r;
-        const std::size_t hi = std::min(col0 + cols, row + 1);
-        for (std::size_t c = col0; c < hi; ++c) {
-          acc[r].fold_one(scale * num::dot(q.row(row), k.row(c), d),
-                          v.row(c));
-        }
-      }
+      fold_causal_tile(q, k, v, scale, row0, rows, col0,
+                       std::min(tk, k.rows - col0), acc);
     }
 
     for (std::size_t r = 0; r < rows; ++r) {
@@ -151,7 +203,7 @@ void chunked_prefill_streaming_head(
     }
 
     // In-chunk phase: columns ascending so each row's fold order stays the
-    // monolithic ascending-token order.
+    // ascending-token order of a whole-prompt Λ tile walk.
     for (std::size_t j = 0; j < n; ++j) {
       const std::size_t c = history_tokens + j;
       for (std::size_t r = 0; r < rows; ++r) {

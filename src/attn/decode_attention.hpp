@@ -30,6 +30,10 @@ struct DecodeWorkStats {
   /// bit-identical across decode thread counts.
   std::size_t dense_route_steps = 0;
   std::size_t sparse_route_steps = 0;
+  /// Reusable-selector activity of the step, filled the same way: page
+  /// selections recomputed vs served from the reuse cache.
+  std::size_t selector_runs = 0;
+  std::size_t selector_reuses = 0;
 };
 
 /// Sparse decode for one head.

@@ -2,9 +2,9 @@
 //
 // One call processes every query head of a layer, mixing sparsity patterns
 // per head exactly as the fused CUDA kernels do:
-//   prefill — dense (retrieval) heads run the unified block-sparse kernel
-//             with a causal or dynamically-estimated mask; streaming heads
-//             run it with the Λ mask.
+//   prefill — dense (retrieval) heads run chunked_prefill_head with a
+//             causal or dynamically-estimated mask; streaming heads run
+//             chunked_prefill_streaming_head (the Λ mask).
 //   decode  — every head goes through the one sparse_paged_decode kernel;
 //             what differs is only the (possibly pruned) page table:
 //             full / selector output / sink+local index table.
@@ -14,12 +14,9 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
-#include "attn/block_sparse_prefill.hpp"
 #include "attn/chunked_prefill.hpp"
 #include "attn/decode_attention.hpp"
-#include "attn/streaming_attention.hpp"
 #include "kv/two_way_cache.hpp"
 #include "sparse/hierarchical_selector.hpp"
 #include "sparse/prefill_mask.hpp"
@@ -50,15 +47,6 @@ struct FusedDecodeConfig {
   sparse::PageSelectorConfig selector;
 };
 
-/// Fused prefill over all heads of one layer.
-/// q: [n x (q_heads*head_dim)], k/v: [n x (kv_heads*head_dim)],
-/// kinds: one HeadKind per kv head; out: [n x (q_heads*head_dim)].
-void fused_sparse_prefill(num::ConstMatView q, num::ConstMatView k,
-                          num::ConstMatView v,
-                          std::span<const kv::HeadKind> kv_head_kinds,
-                          std::size_t head_dim, const FusedPrefillConfig& cfg,
-                          num::MatView out);
-
 /// Fused CHUNKED prefill over all heads of one layer. Called AFTER the
 /// chunk's KV write-back (TwoWayKvCache::append_roundtrip, with streaming
 /// eviction deferred): per-head token counts minus the chunk length give
@@ -70,7 +58,7 @@ void fused_sparse_prefill(num::ConstMatView q, num::ConstMatView k,
 /// coordinates against cfg.total_tokens. Together these make prefill
 /// invariant to the chunk/attach schedule for causal dense and streaming
 /// heads (dynamic_dense masks remain chunk-local, hence schedule-
-/// dependent). With an empty history this equals fused_sparse_prefill.
+/// dependent). A monolithic prefill is the one-chunk case (empty history).
 /// q: [n x q_heads*head_dim], k/v: [n x kv_heads*head_dim] for the CHUNK.
 void fused_chunked_prefill(const kv::PageAllocator& dense_alloc,
                            const kv::PageAllocator& stream_alloc,

@@ -8,15 +8,6 @@
 
 namespace lserve::attn {
 
-void streaming_prefill(num::ConstMatView q, num::ConstMatView k,
-                       num::ConstMatView v, StreamingBlocks sb,
-                       PrefillTiling tiling, float scale, num::MatView out) {
-  BlockMask mask = BlockMask::streaming(q.rows, tiling.tile_q, tiling.tile_k,
-                                        sb.sink_blocks, sb.local_blocks);
-  mask.finalize();
-  block_sparse_prefill(q, k, v, mask, tiling, scale, out);
-}
-
 void streaming_prefill_reference(num::ConstMatView q, num::ConstMatView k,
                                  num::ConstMatView v, std::size_t sink_tokens,
                                  std::size_t local_tokens, float scale,

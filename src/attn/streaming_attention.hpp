@@ -1,8 +1,9 @@
 // Streaming-head attention (Λ-shaped mask: attention sinks + local window).
 //
-// Prefill for streaming heads is just the unified block-sparse kernel with
-// the streaming BlockMask; this header provides the convenience wrapper and
-// an exact token-granular reference used in tests. Decode for streaming
+// Prefill for streaming heads runs attn::chunked_prefill_streaming_head
+// (the Λ predicate of BlockMask::streaming in absolute coordinates); this
+// header provides the Λ geometry and an exact token-granular reference
+// used by the head classifier and tests. Decode for streaming
 // heads goes through the unified sparse decode kernel with the sink+local
 // index table produced by kv::StreamingHeadCache (§3.6), so no separate
 // decode kernel exists here — that is the point of the unification.
@@ -10,7 +11,6 @@
 
 #include <cstddef>
 
-#include "attn/block_sparse_prefill.hpp"
 #include "numeric/tensor.hpp"
 
 namespace lserve::attn {
@@ -21,14 +21,8 @@ struct StreamingBlocks {
   std::size_t local_blocks = 2;
 };
 
-/// Streaming prefill for one head via the unified block-sparse kernel.
-void streaming_prefill(num::ConstMatView q, num::ConstMatView k,
-                       num::ConstMatView v, StreamingBlocks sb,
-                       PrefillTiling tiling, float scale, num::MatView out);
-
 /// Token-granular reference: row i attends to keys j <= i with
-/// (j < sink_tokens) or (j + local_tokens > i). Tests compare the block
-/// kernel against this with block-aligned sink/local sizes.
+/// (j < sink_tokens) or (j + local_tokens > i).
 void streaming_prefill_reference(num::ConstMatView q, num::ConstMatView k,
                                  num::ConstMatView v, std::size_t sink_tokens,
                                  std::size_t local_tokens, float scale,

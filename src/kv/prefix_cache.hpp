@@ -55,7 +55,8 @@ struct PrefixCacheConfig {
   std::size_t max_pages = 0;
 };
 
-/// Cumulative cache telemetry (mirrored into EngineStats).
+/// Cumulative cache telemetry, the owner of these counts (Engine::stats()
+/// and the lserve_prefix_* series read them).
 struct PrefixCacheStats {
   std::size_t hits = 0;            ///< attaches that reused >= 1 token.
   std::size_t misses = 0;          ///< attaches that reused nothing.

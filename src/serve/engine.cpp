@@ -342,23 +342,16 @@ std::int32_t Engine::decode_one(Sequence& seq, std::int32_t token,
   } else {
     ++work.sparse_route_steps;
   }
+  const std::size_t runs = seq.selector.selector_runs();
+  const std::size_t reuses = seq.selector.reuses();
   forward_decode(seq, hidden, route, work);
+  work.selector_runs += seq.selector.selector_runs() - runs;
+  work.selector_reuses += seq.selector.reuses() - reuses;
   seq.position += 1;
   ++seq.decode_step;
   const std::int32_t next = tf_.readout_argmax(hidden.row(0));
   seq.last_token = next;
   return next;
-}
-
-void Engine::refresh_selector_stats() {
-  stats_.selector_runs = 0;
-  stats_.selector_reuses = 0;
-  for (const auto& s : sequences_) {
-    if (s != nullptr) {
-      stats_.selector_runs += s->selector.selector_runs();
-      stats_.selector_reuses += s->selector.reuses();
-    }
-  }
 }
 
 std::int32_t Engine::decode(SequenceId id, std::int32_t token) {
@@ -390,9 +383,10 @@ std::vector<std::int32_t> Engine::decode_batch(
     stats_.tokens_visited += w.tokens_visited;
     stats_.decode_dense_steps += w.dense_route_steps;
     stats_.decode_sparse_steps += w.sparse_route_steps;
+    stats_.selector_runs += w.selector_runs;
+    stats_.selector_reuses += w.selector_reuses;
     ++stats_.decode_steps;
   }
-  refresh_selector_stats();
   return next;
 }
 
@@ -487,7 +481,6 @@ std::size_t Engine::attach_prefix(SequenceId id,
   const std::size_t attached =
       prefix_cache_->attach(prompt, prompt.size() - 1, seq.cache);
   seq.position = attached;
-  refresh_prefix_stats();
   return attached;
 }
 
@@ -498,29 +491,29 @@ void Engine::insert_prefix(SequenceId id,
   assert(tokens.size() <= seq.cache.tokens());
   const kv::PageAuditScope audit(id, "Engine::insert_prefix");
   prefix_cache_->insert(tokens, seq.cache);
-  refresh_prefix_stats();
 }
 
 std::size_t Engine::reclaim_prefix_pages(std::size_t target_pages) {
   if (prefix_cache_ == nullptr || target_pages == 0) return 0;
   const kv::PageAuditScope audit(kv::kAuditNoOwner,
                                  "Engine::reclaim_prefix_pages");
-  const std::size_t freed = prefix_cache_->reclaim(target_pages);
-  refresh_prefix_stats();
-  return freed;
+  return prefix_cache_->reclaim(target_pages);
 }
 
 std::size_t Engine::prefix_cache_pages_held() const {
   return prefix_cache_ == nullptr ? 0 : prefix_cache_->pages_held();
 }
 
-void Engine::refresh_prefix_stats() {
-  if (prefix_cache_ == nullptr) return;
-  const kv::PrefixCacheStats s = prefix_cache_->stats();
-  stats_.prefix_hits = s.hits;
-  stats_.prefix_tokens_reused = s.tokens_reused;
-  stats_.prefix_cow_copies = s.cow_copies;
-  stats_.prefix_evictions = s.evictions;
+EngineStats Engine::stats() const {
+  EngineStats out = stats_;
+  if (prefix_cache_ != nullptr) {
+    const kv::PrefixCacheStats s = prefix_cache_->stats();
+    out.prefix_hits = s.hits;
+    out.prefix_tokens_reused = s.tokens_reused;
+    out.prefix_cow_copies = s.cow_copies;
+    out.prefix_evictions = s.evictions;
+  }
+  return out;
 }
 
 }  // namespace lserve::serve

@@ -94,13 +94,13 @@ struct EngineStats {
   std::size_t decode_sparse_steps = 0;
   std::size_t pages_visited = 0;   ///< decode attention page iterations.
   std::size_t tokens_visited = 0;  ///< decode attention token iterations.
-  std::size_t selector_runs = 0;
-  std::size_t selector_reuses = 0;
+  std::size_t selector_runs = 0;    ///< page selections recomputed.
+  std::size_t selector_reuses = 0;  ///< selections served from reuse.
   std::size_t sequences_created = 0;   ///< create_sequence() calls.
   std::size_t sequences_released = 0;  ///< release_sequence() calls — equal
                                        ///< when no sequence is live.
-  /// Prefix-cache counters (mirrored from PrefixCacheStats; all zero when
-  /// the cache is disabled).
+  /// Prefix-cache counters, read from PrefixCacheStats (their owner) when
+  /// the snapshot is taken; all zero when the cache is disabled.
   std::size_t prefix_hits = 0;           ///< attaches reusing >= 1 token.
   std::size_t prefix_tokens_reused = 0;  ///< prompt tokens skipped.
   std::size_t prefix_cow_copies = 0;     ///< copy-on-write page copies.
@@ -194,7 +194,9 @@ class Engine {
                                      std::span<const std::int32_t> prompt,
                                      std::size_t n_tokens);
 
-  const EngineStats& stats() const noexcept { return stats_; }
+  /// Snapshot of the cumulative telemetry (prefix_* read from the prefix
+  /// cache at call time).
+  EngineStats stats() const;
   kv::PageAllocator& dense_allocator() noexcept { return dense_alloc_; }
   kv::PageAllocator& stream_allocator() noexcept { return stream_alloc_; }
 
@@ -303,12 +305,6 @@ class Engine {
   std::int32_t decode_one(Sequence& seq, std::int32_t token,
                           attn::DecodeWorkStats& work);
 
-  /// Recomputes the selector run/reuse totals from all live sequences.
-  void refresh_selector_stats();
-
-  /// Mirrors PrefixCacheStats into stats_ (no-op when disabled).
-  void refresh_prefix_stats();
-
   /// (Re)builds the prefix cache for the current head partition; any
   /// partition change invalidates every cached page set.
   void rebuild_prefix_cache();
@@ -331,7 +327,7 @@ class Engine {
   std::size_t dense_slots_ = 0;   ///< dense entries in head_kinds_.
   std::size_t stream_slots_ = 0;  ///< streaming entries in head_kinds_.
   std::vector<std::unique_ptr<Sequence>> sequences_;
-  EngineStats stats_;
+  EngineStats stats_;  ///< prefix_* stay zero here; see stats().
   /// Decode routing policy; null routes every step kSparse (as
   /// configured). Read per decode step from pool workers — treat as
   /// frozen during a decode_batch call.

@@ -11,6 +11,17 @@
 #endif
 
 namespace lserve::serve {
+namespace {
+
+/// Brings a registry counter up to its owner's cumulative total. The
+/// counter's own value is the last total published, so no shadow copy is
+/// kept.
+void sync_counter(obs::Counter* counter, std::size_t total) {
+  const std::uint64_t published = counter->value();
+  if (total > published) counter->inc(total - published);
+}
+
+}  // namespace
 
 const char* to_string(RequestStatus status) noexcept {
   switch (status) {
@@ -160,33 +171,22 @@ void Scheduler::publish_step_metrics() {
   m_.pages_cold->set(static_cast<double>(occ.cold_in_use));
   const kv::TierStats tier = engine_.tier_stats();
   m_.cold_bytes->set(static_cast<double>(tier.cold_bytes_in_use));
-  if (tier.demotions > seen_tier_.demotions) {
-    m_.tier_demotions->inc(tier.demotions - seen_tier_.demotions);
-  }
-  if (tier.pin_promotions > seen_tier_.pin_promotions) {
-    m_.tier_pin_promotions->inc(tier.pin_promotions -
-                                seen_tier_.pin_promotions);
-  }
-  if (tier.prefetch_promotions > seen_tier_.prefetch_promotions) {
-    m_.tier_prefetch_promotions->inc(tier.prefetch_promotions -
-                                     seen_tier_.prefetch_promotions);
-  }
-  if (tier.prefetch_requests > seen_tier_.prefetch_requests) {
-    m_.tier_prefetch_requests->inc(tier.prefetch_requests -
-                                   seen_tier_.prefetch_requests);
-  }
-  seen_tier_ = tier;
-  // Route decisions happen inside Engine::decode_batch; mirror the delta
-  // of its cumulative totals into per-route counters once per step.
-  const EngineStats& es = engine_.stats();
-  if (es.decode_dense_steps > seen_dense_steps_) {
-    m_.route_dense->inc(es.decode_dense_steps - seen_dense_steps_);
-    seen_dense_steps_ = es.decode_dense_steps;
-  }
-  if (es.decode_sparse_steps > seen_sparse_steps_) {
-    m_.route_sparse->inc(es.decode_sparse_steps - seen_sparse_steps_);
-    seen_sparse_steps_ = es.decode_sparse_steps;
-  }
+  // Each counter below has exactly one owner; the registry only exports it.
+  sync_counter(m_.steps, stats_.steps);
+  sync_counter(m_.preemptions, stats_.preemptions);
+  sync_counter(m_.deferrals, stats_.deferred_admissions);
+  sync_counter(m_.prefill_chunks, stats_.prefill_chunks);
+  sync_counter(m_.cancelled, stats_.cancelled);
+  sync_counter(m_.deadline_exceeded, stats_.deadline_exceeded);
+  const EngineStats es = engine_.stats();
+  sync_counter(m_.prefix_hits, es.prefix_hits);
+  sync_counter(m_.prefix_tokens, es.prefix_tokens_reused);
+  sync_counter(m_.route_dense, es.decode_dense_steps);
+  sync_counter(m_.route_sparse, es.decode_sparse_steps);
+  sync_counter(m_.tier_demotions, tier.demotions);
+  sync_counter(m_.tier_pin_promotions, tier.pin_promotions);
+  sync_counter(m_.tier_prefetch_promotions, tier.prefetch_promotions);
+  sync_counter(m_.tier_prefetch_requests, tier.prefetch_requests);
 }
 
 Scheduler::Scheduler(Engine& engine, std::size_t max_batch,
@@ -333,21 +333,15 @@ void Scheduler::finish(Pending pend, std::vector<std::int32_t> output,
   }
   if (metrics_ != nullptr) {
     m_.e2e->observe(static_cast<double>(now_ns() - pend.submit_ns) * 1e-9);
-    switch (status) {
-      case RequestStatus::kFinished:
-        m_.finished->inc();
-        break;
-      case RequestStatus::kCancelled:
-        m_.cancelled->inc();
-        break;
-      case RequestStatus::kDeadlineExceeded:
-        m_.deadline_exceeded->inc();
-        break;
-    }
+    if (status == RequestStatus::kFinished) m_.finished->inc();
   }
   const std::uint64_t id = pend.req.request_id;
   results_.push_back(std::move(result));
   if (pend.req.on_done) {
+    // Every caller released the request's pages already: publish so a
+    // scrape triggered by this callback sees them gone and the counters
+    // including this request.
+    publish_step_metrics();
     // No lock held: the callback may call submit()/cancel() freely.
     pend.req.on_done(results_.back());
   }
@@ -500,7 +494,6 @@ void Scheduler::admit() {
         if (engine_.hot_pages_in_use() + headroom + need >
             cfg_.memory.page_budget) {
           ++stats_.deferred_admissions;
-          if (metrics_ != nullptr) m_.deferrals->inc();
           break;
         }
       }
@@ -525,14 +518,6 @@ void Scheduler::admit() {
       attached = engine_.attach_prefix(run.seq, run.pend.feed());
     }
     run.prefill_pos = attached;
-    if (attached > 0) {
-      ++stats_.prefix_hits;
-      stats_.prefix_tokens_reused += attached;
-      if (metrics_ != nullptr) {
-        m_.prefix_hits->inc();
-        m_.prefix_tokens->inc(attached);
-      }
-    }
     engine_.begin_prefill(run.seq, run.pend.feed().size());
     run.phase = SequencePhase::kPrefilling;
     run.admit_order = admit_counter_++;
@@ -541,7 +526,7 @@ void Scheduler::admit() {
   }
 }
 
-void Scheduler::advance_prefill() {
+Scheduler::Running* Scheduler::advance_prefill() {
   // At most one prefill chunk per iteration, for the oldest-admitted
   // prefilling sequence, so prefill work is rationed against the decode
   // batch instead of monopolizing the step.
@@ -552,7 +537,7 @@ void Scheduler::advance_prefill() {
       target = &run;
     }
   }
-  if (target == nullptr) return;
+  if (target == nullptr) return nullptr;
 
   obs::StepTraceBuilder::Span span = step_trace_.span("prefill_chunk");
   const std::vector<std::int32_t>& feed = target->pend.feed();
@@ -564,8 +549,7 @@ void Scheduler::advance_prefill() {
   const std::size_t left = engine_.prefill_chunk(target->seq, ids);
   target->prefill_pos += count;
   ++stats_.prefill_chunks;
-  if (metrics_ != nullptr) m_.prefill_chunks->inc();
-  if (left > 0) return;
+  if (left > 0) return nullptr;
 
   const std::int32_t first = engine_.finish_prefill(target->seq);
   target->phase = SequencePhase::kDecoding;
@@ -588,6 +572,7 @@ void Scheduler::advance_prefill() {
     target->output = std::move(target->pend.resumed);
     target->pend.resumed.clear();
   }
+  return target;
 }
 
 void Scheduler::preempt(std::size_t slot) {
@@ -605,7 +590,6 @@ void Scheduler::preempt(std::size_t slot) {
   Pending pend = std::move(run.pend);
   ++pend.preemptions;
   ++stats_.preemptions;
-  if (metrics_ != nullptr) m_.preemptions->inc();
   if (run.phase == SequencePhase::kDecoding && !run.output.empty()) {
     // Recompute preemption: replay every token that was fed to the engine
     // (the prompt plus all generated tokens but the last, which had not
@@ -667,13 +651,12 @@ bool Scheduler::step() {
   }
   ++stats_.steps;
   // Telemetry envelope around the real step body: a fresh trace builder
-  // (inactive when tracing is off), the step counter, gauge publication
-  // after the body, and the trace commit. Nothing in here feeds back into
+  // (inactive when tracing is off), gauge and counter publication after
+  // the body, and the trace commit. Nothing in here feeds back into
   // step_impl()'s decisions — metrics-on and metrics-off drains are
   // bit-identical.
   step_trace_ = obs::StepTraceBuilder(
       tracer_ == nullptr ? nullptr : clock_.get(), stats_.steps);
-  if (metrics_ != nullptr) m_.steps->inc();
   const bool more = step_impl();
   publish_step_metrics();
   if (tracer_ != nullptr) tracer_->commit(step_trace_.finish());
@@ -699,7 +682,12 @@ bool Scheduler::step_impl() {
     MutexLock lock(mu_);
     return !submit_inbox_.empty() || !cancel_inbox_.empty();
   }
-  advance_prefill();
+  if (Running* first = advance_prefill()) {
+    // Stream the first token now rather than after this step's decode
+    // batch, so the client's TTFT is the server's.
+    obs::StepTraceBuilder::Span span = step_trace_.span("deliver");
+    deliver_tokens(*first);
+  }
   {
     obs::StepTraceBuilder::Span span = step_trace_.span("preempt");
     preempt_for_memory();
@@ -753,9 +741,8 @@ bool Scheduler::step_impl() {
     }
   }
 
-  // Stream every token committed this step (the decode batch above plus a
-  // first token produced by advance_prefill) before retirement, so a
-  // request's final on_token precedes its on_done.
+  // Stream every token committed by the decode batch above before
+  // retirement, so a request's final on_token precedes its on_done.
   {
     obs::StepTraceBuilder::Span span = step_trace_.span("deliver");
     for (Running& run : running_) deliver_tokens(run);

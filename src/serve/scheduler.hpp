@@ -35,10 +35,12 @@
 // resorts to deferring admission or preempting a running sequence.
 //
 // Streaming & cancellation (the serving front-end surface): each request
-// may carry an on_token callback, invoked as each decode step commits (a
-// preempted-and-replayed request never re-delivers: on_token always sees a
-// strictly growing prefix of the final output), and an on_done callback
-// invoked exactly once with the terminal RequestResult. cancel() is safe
+// may carry an on_token callback, invoked as each token commits — the
+// first one as soon as the final prefill chunk produces it, the rest as
+// each decode step commits (a preempted-and-replayed request never
+// re-delivers: on_token always sees a strictly growing prefix of the final
+// output) — and an on_done callback invoked exactly once with the terminal
+// RequestResult. cancel() is safe
 // in WAITING, PREFILLING and DECODING: pages are reclaimed exactly like
 // preemption, but the request is not re-queued. Deadlines (a
 // SchedulerConfig default plus a per-Request override, measured in
@@ -116,10 +118,13 @@ struct Request {
   std::size_t deadline_steps = 0;
   /// Streamed token delivery, invoked on the scheduler thread as each
   /// token commits: (request_id, token, index) with index counting from 0.
-  /// Tokens restored after a preemption replay are not re-delivered.
+  /// Index 0 is delivered in the step whose prefill produced it, before
+  /// that step's decode batch. Tokens restored after a preemption replay
+  /// are not re-delivered.
   std::function<void(std::uint64_t, std::int32_t, std::size_t)> on_token;
   /// Terminal notification, invoked exactly once on the scheduler thread
-  /// after the result (any status) is recorded.
+  /// after the result (any status) is recorded, the request's pages are
+  /// released and the registry (SchedulerConfig::metrics) is published.
   std::function<void(const RequestResult&)> on_done;
 };
 
@@ -162,6 +167,9 @@ struct SchedulerConfig {
   /// histograms; sequence/page/prefix gauges; lifecycle and route
   /// counters) is recorded into `metrics`; per-step phase spans go into
   /// `tracer` (exported as Chrome trace JSON via GET /debug/trace).
+  /// One scheduler owns the series it registers: most counters are synced
+  /// to their owner's cumulative total (SchedulerStats, PrefixCacheStats,
+  /// EngineStats, TierStats), so two schedulers must not share a registry.
   obs::MetricsRegistry* metrics = nullptr;
   obs::StepTracer* tracer = nullptr;
   /// Time source for the telemetry stamps. Null = steady-clock default;
@@ -171,7 +179,8 @@ struct SchedulerConfig {
   std::shared_ptr<const obs::Clock> clock;
 };
 
-/// Cumulative scheduler telemetry.
+/// Cumulative scheduler telemetry; the owner of these counts (the registry
+/// series lserve_scheduler_steps_total etc. are synced from it).
 struct SchedulerStats {
   std::size_t steps = 0;
   std::size_t admitted = 0;     ///< admissions, including re-admissions.
@@ -180,10 +189,6 @@ struct SchedulerStats {
   std::size_t prefill_chunks = 0;       ///< chunks scheduled (≤ 1 per step).
   std::size_t cancelled = 0;            ///< requests ended by cancel().
   std::size_t deadline_exceeded = 0;    ///< requests ended by deadline.
-  std::size_t prefix_hits = 0;          ///< admissions that attached a
-                                        ///< cached prefix.
-  std::size_t prefix_tokens_reused = 0;  ///< prompt tokens skipped at
-                                         ///< admission via the prefix cache.
 };
 
 /// FCFS continuous-batching scheduler over one Engine.
@@ -302,7 +307,9 @@ class Scheduler {
   };
 
   void admit();
-  void advance_prefill();
+  /// Runs one prefill chunk; returns the sequence whose prefill it
+  /// completed (its first token is ready to stream), else null.
+  Running* advance_prefill();
   void preempt_for_memory();
   void preempt(std::size_t slot);
   /// Shares `run`'s KV into the engine's prefix cache (everything fed so
@@ -338,8 +345,9 @@ class Scheduler {
   std::uint64_t now_ns() const noexcept {
     return clock_ == nullptr ? 0 : clock_->now_ns();
   }
-  /// Publishes the per-step gauges (sequences, pages, prefix cache) and
-  /// mirrors the engine's dense/sparse route deltas into counters.
+  /// Publishes the gauges (sequences, pages, prefix cache, tiers) and
+  /// brings every synced counter up to its owner's total. Runs after each
+  /// step and before each on_done.
   void publish_step_metrics();
 
   Engine& engine_;
@@ -361,6 +369,9 @@ class Scheduler {
   /// Phase-span builder for the step in flight; reset (inactive when
   /// tracing is off) at the top of every step().
   obs::StepTraceBuilder step_trace_;
+  /// Registry handles. submitted and finished are incremented at their
+  /// event sites (no other owner keeps them); every other counter is
+  /// synced from its owner in publish_step_metrics().
   struct MetricHandles {
     obs::Histogram* queue_wait = nullptr;
     obs::Histogram* ttft = nullptr;
@@ -394,11 +405,6 @@ class Scheduler {
     obs::Counter* tier_prefetch_promotions = nullptr;
     obs::Counter* tier_prefetch_requests = nullptr;
   } m_;
-  /// Last-seen engine route totals, for per-step delta mirroring.
-  std::size_t seen_dense_steps_ = 0;
-  std::size_t seen_sparse_steps_ = 0;
-  /// Last-seen tier totals (same delta-mirroring scheme).
-  kv::TierStats seen_tier_;
 #if LSERVE_AUDIT_ENABLED
   /// Engine pool occupancy at construction; drain() aborts with the
   /// auditor's who-leaked-what report if it does not return to this.

@@ -13,7 +13,7 @@
 namespace lserve {
 namespace {
 
-TEST(ChunkedPrefillKernel, EmptyHistoryEqualsBlockSparsePrefill) {
+TEST(ChunkedPrefillKernel, EmptyHistoryEqualsBranchyTileWalk) {
   const std::size_t n = 64, d = 16;
   num::Rng rng(1);
   num::Tensor q(n, d), k(n, d), v(n, d), a(n, d), b(n, d);
@@ -27,8 +27,8 @@ TEST(ChunkedPrefillKernel, EmptyHistoryEqualsBlockSparsePrefill) {
   pages.logical_page_size = 16;
   pages.head_dim = d;
   kv::PageAllocator alloc(pages, 2);
-  attn::block_sparse_prefill(q.view(), k.view(), v.view(), mask, {16, 16},
-                             0.25f, a.view());
+  attn::block_sparse_prefill_branchy(q.view(), k.view(), v.view(), mask,
+                                     {16, 16}, 0.25f, a.view());
   attn::chunked_prefill_head(alloc, {}, 0, q.view(), k.view(), v.view(),
                              mask, {16, 16}, 0.25f, b.view());
   for (std::size_t i = 0; i < a.size(); ++i) {

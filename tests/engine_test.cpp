@@ -149,7 +149,7 @@ TEST(Engine, DynamicDecodeBoundsVisitedTokens) {
   const auto ids = prompt_ids(64);
   const auto seq = engine.create_sequence();
   engine.generate(seq, ids, 4);
-  const EngineStats& stats = engine.stats();
+  const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.decode_steps, 3u);
   // Per decode step per layer per kv head: at most budget tokens.
   const std::size_t max_tokens = stats.decode_steps * 2 /*layers*/ *
@@ -165,7 +165,7 @@ TEST(Engine, ReusableSelectorReducesSelectorRuns) {
   const auto ids = prompt_ids(64);
   const auto seq = engine.create_sequence();
   engine.generate(seq, ids, 9);  // 8 decode steps
-  const EngineStats& stats = engine.stats();
+  const EngineStats stats = engine.stats();
   EXPECT_GT(stats.selector_reuses, stats.selector_runs);
 }
 

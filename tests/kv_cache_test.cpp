@@ -87,17 +87,17 @@ TEST(PageTable, SelectedTokensCountsPartialBlocks) {
   EXPECT_EQ(selected_tokens(pruned, view), 8u + 3u);
 }
 
-TEST(SequenceKvCache, IndependentHeadsShareThePool) {
+TEST(HeadCache, IndependentHeadsShareThePool) {
   PageAllocator alloc(cfg(), 16);
-  SequenceKvCache cache(/*layers=*/2, /*kv_heads=*/3);
+  std::vector<HeadCache> heads(6);  // a 2-layer x 3-kv-head grid
   std::vector<float> k(8, 1.0f), v(8, 2.0f);
-  cache.head(0, 0).append(alloc, k.data(), v.data());
-  cache.head(1, 2).append(alloc, k.data(), v.data());
-  EXPECT_EQ(cache.head(0, 0).tokens(), 1u);
-  EXPECT_EQ(cache.head(1, 2).tokens(), 1u);
-  EXPECT_EQ(cache.head(0, 1).tokens(), 0u);
+  heads[0].append(alloc, k.data(), v.data());
+  heads[5].append(alloc, k.data(), v.data());
+  EXPECT_EQ(heads[0].tokens(), 1u);
+  EXPECT_EQ(heads[5].tokens(), 1u);
+  EXPECT_EQ(heads[1].tokens(), 0u);
   EXPECT_EQ(alloc.pages_in_use(), 2u);
-  cache.release(alloc);
+  for (HeadCache& head : heads) head.release(alloc);
   EXPECT_EQ(alloc.pages_in_use(), 0u);
 }
 

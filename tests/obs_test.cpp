@@ -2,12 +2,13 @@
 // integration: metric primitives under concurrency, histogram bucket/
 // quantile semantics, the Prometheus exposition golden format, the step
 // tracer ring, deterministic wall-clock telemetry through an injected
-// FakeClock, the telemetry-never-changes-scheduling bit-identity pin, and
-// the mirrored prefix-counter consistency regression
-// (EngineStats::prefix_* vs SchedulerStats::prefix_* vs PrefixCacheStats).
+// FakeClock, the telemetry-never-changes-scheduling bit-identity pin, the
+// prefix series against their owner (PrefixCacheStats), and the registry
+// being current when on_done fires.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -341,9 +342,9 @@ TEST(SchedulerObs, DeterministicTtftTpotQueueWaitAndE2eViaFakeClock) {
   sched.submit(make_request(8, 4));  // submit stamp: t=1000.
   clk->set_ns(3000);
   // Step 1 at t=3000: admit + monolithic prefill emits the first token
-  // (TTFT = queue wait = 2000 ns), and the same step's decode batch
-  // already includes the now-DECODING sequence, so token 2 commits at the
-  // same stamp (TPOT sample 0).
+  // (TTFT = queue wait = 2000 ns) and streams it before the step's decode
+  // batch; that batch already includes the now-DECODING sequence, so
+  // token 2 commits at the same stamp (TPOT sample 0).
   sched.step();
   clk->set_ns(4000);
   sched.step();  // token 3: TPOT 1000 ns.
@@ -368,7 +369,7 @@ TEST(SchedulerObs, DeterministicTtftTpotQueueWaitAndE2eViaFakeClock) {
   EXPECT_EQ(e2e->count(), 1u);
   EXPECT_DOUBLE_EQ(e2e->sum(), 5000.0 * 1e-9);  // 6000 - 1000.
 
-  // Lifecycle counters and per-step gauges mirror SchedulerStats.
+  // Lifecycle counters and per-step gauges export SchedulerStats.
   const serve::SchedulerStats& stats = sched.scheduler_stats();
   EXPECT_EQ(reg.find_counter("lserve_scheduler_steps_total")->value(),
             stats.steps);
@@ -481,11 +482,9 @@ TEST(SchedulerObs, MetricsOnAndOffDrainBitIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Mirrored prefix counters: the same numbers must be visible at every
-// layer — PrefixCacheStats (source of truth), EngineStats::prefix_*
-// (engine mirror), SchedulerStats::prefix_* (admission-side count), and
-// the lserve_prefix_* metrics — across a workload that exercises hits,
-// copy-on-write divergence, eviction, and preemption together.
+// Prefix-cache series: PrefixCacheStats owns the counts, and the exported
+// lserve_prefix_* series must equal them across a workload that exercises
+// hits, copy-on-write divergence, eviction, and preemption together.
 
 serve::EngineConfig prefix_cfg() {
   serve::EngineConfig cfg = baselines::lserve_config(model::tiny());
@@ -500,7 +499,7 @@ serve::EngineConfig prefix_cfg() {
   return cfg;
 }
 
-TEST(SchedulerObs, PrefixCountersMirrorAcrossAllLayers) {
+TEST(SchedulerObs, PrefixSeriesExportTheCacheCounts) {
   serve::Engine engine(prefix_cfg());
   MetricsRegistry reg;
   serve::SchedulerConfig sc;
@@ -534,33 +533,60 @@ TEST(SchedulerObs, PrefixCountersMirrorAcrossAllLayers) {
   }
 
   const kv::PrefixCacheStats cache = engine.prefix_cache()->stats();
-  const serve::EngineStats& es = engine.stats();
-  const serve::SchedulerStats& ss = sched.scheduler_stats();
 
   // The workload genuinely mixed all four behaviours.
   EXPECT_GT(cache.hits, 0u);
   EXPECT_GT(cache.cow_copies, 0u);
   EXPECT_GT(cache.evictions, 0u);
-  EXPECT_GT(ss.preemptions, 0u);
+  EXPECT_GT(sched.scheduler_stats().preemptions, 0u);
 
-  // Engine mirrors the cache exactly.
-  EXPECT_EQ(es.prefix_hits, cache.hits);
-  EXPECT_EQ(es.prefix_tokens_reused, cache.tokens_reused);
-  EXPECT_EQ(es.prefix_cow_copies, cache.cow_copies);
-  EXPECT_EQ(es.prefix_evictions, cache.evictions);
-
-  // Scheduler-side admission counters agree (every attach goes through
-  // admission in this workload).
-  EXPECT_EQ(ss.prefix_hits, cache.hits);
-  EXPECT_EQ(ss.prefix_tokens_reused, cache.tokens_reused);
-
-  // And the exported metrics agree with all of the above.
   EXPECT_EQ(reg.find_counter("lserve_prefix_hits_total")->value(),
             cache.hits);
   EXPECT_EQ(reg.find_counter("lserve_prefix_tokens_reused_total")->value(),
             cache.tokens_reused);
   EXPECT_EQ(reg.find_gauge("lserve_prefix_cache_pages_held")->value(),
             static_cast<double>(engine.prefix_cache_pages_held()));
+}
+
+// on_done fires after the request's pages are released and the registry
+// is published: a scrape from the callback (what an HTTP client does right
+// after its `done` event) sees the pages gone and the counters already
+// counting the request. Work an on_done submits still drains.
+TEST(SchedulerObs, RegistryIsCurrentWhenOnDoneFires) {
+  serve::Engine engine(prefix_cfg());
+  MetricsRegistry reg;
+  serve::SchedulerConfig sc;
+  sc.max_batch = 2;
+  sc.metrics = &reg;
+  sc.clock = std::make_shared<FakeClock>();
+  serve::Scheduler sched(engine, sc);
+
+  std::size_t done = 0;
+  std::function<void(const serve::RequestResult&)> on_done;
+  on_done = [&](const serve::RequestResult& r) {
+    ++done;
+    EXPECT_EQ(r.status, serve::RequestStatus::kFinished);
+    EXPECT_EQ(reg.find_gauge("lserve_kv_pages_in_use")->value(),
+              reg.find_gauge("lserve_prefix_cache_pages_held")->value());
+    EXPECT_EQ(reg.find_gauge("lserve_sequences_running")->value(), 0.0);
+    EXPECT_EQ(reg.find_counter("lserve_scheduler_steps_total")->value(),
+              sched.scheduler_stats().steps);
+    EXPECT_EQ(reg.find_counter("lserve_requests_finished_total")->value(),
+              done);
+    if (done == 1) {
+      serve::Request next = make_request(20, 3);
+      next.on_done = on_done;
+      sched.submit(std::move(next));
+    }
+  };
+  serve::Request first = make_request(24, 4);
+  first.on_done = on_done;
+  sched.submit(std::move(first));
+  const std::vector<serve::RequestResult> results = sched.drain();
+
+  EXPECT_EQ(done, 2u);
+  EXPECT_EQ(results.size(), 2u);
+  EXPECT_GT(engine.prefix_cache_pages_held(), 0u);
 }
 
 }  // namespace

@@ -1,15 +1,17 @@
-// Tests for the unified block-sparse prefill kernel and streaming prefill
-// (src/attn/block_sparse_prefill, src/attn/streaming_attention).
+// Tests for the served prefill kernels run over a whole prompt (empty
+// history) — chunked_prefill_head and chunked_prefill_streaming_head in
+// src/attn/chunked_prefill — against the dense and Λ oracles, and for the
+// Fig 12 branchy ablation next to them.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <tuple>
 #include <vector>
 
-#include "attn/block_sparse_prefill.hpp"
-#include "numeric/math.hpp"
+#include "attn/chunked_prefill.hpp"
 #include "attn/dense_attention.hpp"
 #include "attn/streaming_attention.hpp"
+#include "numeric/math.hpp"
 #include "numeric/rng.hpp"
 
 namespace lserve::attn {
@@ -30,6 +32,28 @@ Qkv random_qkv(std::size_t n, std::size_t d, std::uint64_t seed) {
   return x;
 }
 
+/// An empty history never touches a page; the kernels only need a pool.
+const kv::PageAllocator& no_history_pool() {
+  static const kv::PageAllocator pool(kv::PageConfig{}, 1);
+  return pool;
+}
+
+/// chunked_prefill_head over the whole prompt.
+void dense_head_prefill(const Qkv& x, const BlockMask& mask,
+                        PrefillTiling tiling, float scale, num::Tensor& out) {
+  chunked_prefill_head(no_history_pool(), {}, 0, x.q.view(), x.k.view(),
+                       x.v.view(), mask, tiling, scale, out.view());
+}
+
+/// chunked_prefill_streaming_head over the whole prompt (n tokens).
+void streaming_head_prefill(const Qkv& x, StreamingBlocks sb,
+                            PrefillTiling tiling, float scale,
+                            num::Tensor& out) {
+  chunked_prefill_streaming_head(no_history_pool(), {}, 0, x.q.rows(),
+                                 x.q.view(), x.k.view(), x.v.view(), sb,
+                                 tiling, scale, out.view());
+}
+
 float max_abs_diff(const num::Tensor& a, const num::Tensor& b) {
   float m = 0.0f;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -42,8 +66,8 @@ class CausalEquivalence
     : public ::testing::TestWithParam<
           std::tuple<std::size_t, std::size_t, std::size_t, std::size_t>> {};
 
-// With the full causal mask, the block-sparse kernel must reproduce dense
-// attention for every tiling — the "unified" claim of §3.1.
+// With the full causal mask, the served block-sparse kernel must reproduce
+// dense attention for every tiling — the "unified" claim of §3.1.
 TEST_P(CausalEquivalence, BlockSparseEqualsDenseReference) {
   const auto [n, d, tq, tk] = GetParam();
   const Qkv x = random_qkv(n, d, 42 + n);
@@ -54,8 +78,7 @@ TEST_P(CausalEquivalence, BlockSparseEqualsDenseReference) {
                           ref.view());
   BlockMask mask = BlockMask::causal(n, tq, tk);
   mask.finalize();
-  block_sparse_prefill(x.q.view(), x.k.view(), x.v.view(), mask, {tq, tk},
-                       scale, out.view());
+  dense_head_prefill(x, mask, {tq, tk}, scale, out);
   EXPECT_LT(max_abs_diff(ref, out), 2e-4f);
 }
 
@@ -68,18 +91,37 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(96, 8, 64, 32),
                       std::make_tuple(33, 16, 8, 8)));
 
-TEST(BlockSparsePrefill, BranchyMatchesIteratorKernel) {
-  const std::size_t n = 96, d = 16;
-  const Qkv x = random_qkv(n, d, 7);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
-  BlockMask mask = BlockMask::streaming(n, 16, 16, 1, 2);
-  mask.finalize();
-  num::Tensor a(n, d), b(n, d);
-  block_sparse_prefill(x.q.view(), x.k.view(), x.v.view(), mask, {16, 16},
-                       scale, a.view());
-  block_sparse_prefill_branchy(x.q.view(), x.k.view(), x.v.view(), mask,
-                               {16, 16}, scale, b.view());
-  EXPECT_LT(max_abs_diff(a, b), 1e-6f);
+// The three kernels a Λ row can time agree bit for bit on a whole prompt:
+// the dense-head kernel under the Λ BlockMask, the kernel streaming heads
+// actually run, and the branchy Fig 12 ablation. This pins the bench rows
+// that moved onto the served kernels to what they replaced.
+TEST(PrefillKernels, LambdaKernelsAgreeBitForBit) {
+  const std::size_t d = 16;
+  for (const std::size_t n : {33u, 64u, 100u, 257u}) {
+    for (const std::size_t tile : {8u, 16u, 64u}) {
+      for (const StreamingBlocks sb : {StreamingBlocks{1, 1},
+                                       StreamingBlocks{1, 2},
+                                       StreamingBlocks{2, 3}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " tile=" << tile << " sink="
+                     << sb.sink_blocks << " local=" << sb.local_blocks);
+        const Qkv x = random_qkv(n, d, 7 + n + tile);
+        const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+        BlockMask mask = BlockMask::streaming(n, tile, tile, sb.sink_blocks,
+                                              sb.local_blocks);
+        mask.finalize();
+        num::Tensor iter(n, d), stream(n, d), branchy(n, d);
+        dense_head_prefill(x, mask, {tile, tile}, scale, iter);
+        streaming_head_prefill(x, sb, {tile, tile}, scale, stream);
+        block_sparse_prefill_branchy(x.q.view(), x.k.view(), x.v.view(), mask,
+                                     {tile, tile}, scale, branchy.view());
+        for (std::size_t i = 0; i < iter.size(); ++i) {
+          ASSERT_EQ(iter.data()[i], stream.data()[i]) << "element " << i;
+          ASSERT_EQ(iter.data()[i], branchy.data()[i]) << "element " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(StreamingPrefill, MatchesTokenReferenceWhenBlockAligned) {
@@ -94,8 +136,7 @@ TEST(StreamingPrefill, MatchesTokenReferenceWhenBlockAligned) {
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
 
   num::Tensor out(n, d);
-  streaming_prefill(x.q.view(), x.k.view(), x.v.view(), {1, 2}, {16, 16},
-                    scale, out.view());
+  streaming_head_prefill(x, {1, 2}, {16, 16}, scale, out);
 
   // Reference: per row, softmax over keys in kept blocks only.
   BlockMask mask = BlockMask::streaming(n, 16, 16, 1, 2);
@@ -129,8 +170,7 @@ TEST(StreamingPrefill, EarlyRowsEqualDense) {
   num::Tensor dense(n, d), stream(n, d);
   dense_prefill_reference(x.q.view(), x.k.view(), x.v.view(), scale,
                           dense.view());
-  streaming_prefill(x.q.view(), x.k.view(), x.v.view(), {1, 3}, {16, 16},
-                    scale, stream.view());
+  streaming_head_prefill(x, {1, 3}, {16, 16}, scale, stream);
   // First 4 blocks of rows (sink 1 + local 3 covers diag <= 3): all rows.
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t c = 0; c < d; ++c) {
@@ -158,10 +198,8 @@ TEST(BlockSparsePrefill, SkippedBlocksReduceAttentionMass) {
   pruned.set(3, 1, false);  // drop a mid-context block for the last rows
   pruned.finalize();
   num::Tensor a(n, d), b(n, d);
-  block_sparse_prefill(x.q.view(), x.k.view(), x.v.view(), full, {16, 16},
-                       scale, a.view());
-  block_sparse_prefill(x.q.view(), x.k.view(), x.v.view(), pruned, {16, 16},
-                       scale, b.view());
+  dense_head_prefill(x, full, {16, 16}, scale, a);
+  dense_head_prefill(x, pruned, {16, 16}, scale, b);
   EXPECT_GT(max_abs_diff(a, b), 1e-4f);
   // Rows outside q-block 3 are untouched.
   for (std::size_t i = 0; i < 48; ++i) {

@@ -5,7 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/baseline_engines.hpp"
@@ -188,6 +190,31 @@ TEST(Scheduler, ParallelStepBitIdenticalToSerial) {
     EXPECT_EQ(parallel.stats.selector_runs, serial.stats.selector_runs);
     EXPECT_EQ(parallel.stats.selector_reuses,
               serial.stats.selector_reuses);
+  }
+}
+
+// Selector telemetry is cumulative: rounds of identical requests served
+// one after another cost exactly rounds x one round, at any decode thread
+// count (each round decodes two sequences, so the pool actually splits).
+TEST(Scheduler, SelectorTotalsAccumulateAcrossRequests) {
+  const auto totals = [](std::size_t threads, std::size_t rounds) {
+    Engine engine(sparse_cfg());
+    Scheduler sched(engine, 4, threads);
+    for (std::size_t r = 0; r < rounds; ++r) {
+      sched.submit(make_request(40, 9));
+      sched.submit(make_request(33, 6));
+      sched.drain();
+    }
+    const EngineStats stats = engine.stats();
+    return std::make_pair(stats.selector_runs, stats.selector_reuses);
+  };
+  const auto one = totals(1, 1);
+  ASSERT_GT(one.first, 0u);
+  ASSERT_GT(one.second, 0u);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EXPECT_EQ(totals(threads, 3),
+              std::make_pair(3 * one.first, 3 * one.second));
   }
 }
 
@@ -496,6 +523,36 @@ TEST(Scheduler, OnTokenStreamsFullOutputInOrder) {
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].output, results[0].output);
   EXPECT_EQ(done[0].status, RequestStatus::kFinished);
+}
+
+// A request's first token streams in the step whose prefill produced it,
+// before that step's decode batch runs (which already includes the new
+// sequence, and here also an older one).
+TEST(Scheduler, FirstTokenStreamsBeforeTheStepsDecodeBatch) {
+  Engine engine(cfg());
+  Scheduler sched(engine, 2);
+  std::size_t decode_steps_before_step = 0;
+  std::vector<std::pair<std::size_t, std::size_t>> seen;  // (at token, before)
+  const auto record = [&](std::uint64_t, std::int32_t, std::size_t index) {
+    if (index == 0) {
+      seen.emplace_back(engine.stats().decode_steps,
+                        decode_steps_before_step);
+    }
+  };
+  Request a = make_request(12, 5);
+  a.on_token = record;
+  Request b = make_request(20, 3);
+  b.on_token = record;
+  sched.submit(a);
+  sched.submit(b);
+  for (;;) {
+    decode_steps_before_step = engine.stats().decode_steps;
+    if (!sched.step()) break;
+  }
+  ASSERT_EQ(seen.size(), 2u);
+  for (const auto& [at_token, before] : seen) EXPECT_EQ(at_token, before);
+  // The second first token arrived while the first request was decoding.
+  EXPECT_GT(seen[1].second, 0u);
 }
 
 TEST(Scheduler, OnTokenNeverRedeliversAcrossPreemption) {
